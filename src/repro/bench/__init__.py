@@ -5,7 +5,9 @@ the repo's performance trajectory, one file per PR number, so every
 future change has something to compare against.  The suite measures
 
 - scheduler select latency (fast vs ``_reference_*`` oracle) at 1k /
-  10k / 50k queued requests,
+  10k / 50k queued requests, and at 5k on the paper's B=64, L=100 batch,
+- first-fit packing (integer free capacity vs the ``can_fit``-probing
+  oracle in :mod:`repro.bench.oracles`) on the paper's batch,
 - ``RequestQueue`` churn (indexed heaps vs the dict+scan reference),
 - cost-model evaluation (memoized vs direct recomputation),
 - end-to-end steps/sec per serving loop, fast vs reference internals.
@@ -17,7 +19,12 @@ feeds a simulation.  All workloads are seeded through :mod:`repro.rng`
 ``bench-smoke`` gate normalizes across machines.
 """
 
-from repro.bench.micro import bench_cost_model, bench_queue_churn, bench_select
+from repro.bench.micro import (
+    bench_cost_model,
+    bench_pack_first_fit,
+    bench_queue_churn,
+    bench_select,
+)
 from repro.bench.report import (
     BENCH_VERSION,
     calibrate,
@@ -32,6 +39,7 @@ from repro.bench.workloads import bench_requests
 __all__ = [
     "BENCH_VERSION",
     "bench_cost_model",
+    "bench_pack_first_fit",
     "bench_queue_churn",
     "bench_requests",
     "bench_select",

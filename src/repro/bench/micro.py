@@ -1,4 +1,4 @@
-"""Microbenchmarks: scheduler select, queue churn, cost-model eval.
+"""Microbenchmarks: scheduler select, packing, queue churn, cost model.
 
 Every benchmark here times the fast path *and* its reference oracle on
 identical inputs, asserting equal observable outputs as it goes — a
@@ -12,15 +12,22 @@ from __future__ import annotations
 import time
 from typing import Callable
 
+from repro.bench.oracles import reference_pack_first_fit
 from repro.config import BatchConfig, SchedulerConfig
 from repro.core.layout import BatchLayout
+from repro.core.packing import pack_first_fit
 from repro.engine.cost_model import GPUCostModel
 from repro.scheduling.das import DASScheduler
 from repro.scheduling.queue import RequestQueue, _ReferenceRequestQueue
 from repro.bench.workloads import bench_requests
 from repro.types import Request
 
-__all__ = ["bench_select", "bench_queue_churn", "bench_cost_model"]
+__all__ = [
+    "bench_select",
+    "bench_pack_first_fit",
+    "bench_queue_churn",
+    "bench_cost_model",
+]
 
 
 def _best_of(fn: Callable[[], object], repeats: int) -> float:
@@ -56,6 +63,49 @@ def bench_select(
     ref_s = _best_of(lambda: ref.select(reqs), repeats)
     return {
         "n": n,
+        "fast_s": fast_s,
+        "reference_s": ref_s,
+        "speedup": ref_s / fast_s if fast_s > 0 else float("inf"),
+    }
+
+
+def _placements(layout: BatchLayout) -> list[list[tuple[int, int]]]:
+    return [
+        [(seg.request.request_id, seg.start) for seg in row.segments]
+        for row in layout.rows
+    ]
+
+
+def bench_pack_first_fit(
+    n: int = 400,
+    seed: int = 0,
+    *,
+    repeats: int = 3,
+    calls: int = 20,
+) -> dict:
+    """First-fit packing of ``n`` requests into the paper's 64×100 batch,
+    ``calls`` times: integer free-capacity packer vs the
+    ``can_fit``-probing oracle.  Lengths up to 40 (mean ~20) make the
+    default ``n`` oversubscribe the batch by about a quarter, so late
+    requests probe every row."""
+    num_rows, row_length = 64, 100
+    reqs = bench_requests(n, seed, max_length=40)
+    fast = pack_first_fit(reqs, num_rows, row_length)
+    ref = reference_pack_first_fit(reqs, num_rows, row_length)
+    if _placements(fast.layout) != _placements(ref.layout) or [
+        r.request_id for r in fast.rejected
+    ] != [r.request_id for r in ref.rejected]:  # pragma: no cover - tested
+        raise AssertionError("fast first-fit diverged from reference oracle")
+
+    def run(packer: Callable) -> None:
+        for _ in range(calls):
+            packer(reqs, num_rows, row_length)
+
+    fast_s = _best_of(lambda: run(pack_first_fit), repeats)
+    ref_s = _best_of(lambda: run(reference_pack_first_fit), repeats)
+    return {
+        "n": n,
+        "calls": calls,
         "fast_s": fast_s,
         "reference_s": ref_s,
         "speedup": ref_s / fast_s if fast_s > 0 else float("inf"),

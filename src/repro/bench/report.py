@@ -6,6 +6,8 @@ The JSON layout (see ``docs/performance.md``)::
       "version": 8, "quick": false,
       "calibration_s": 0.041,              # fixed-work probe, see below
       "select": {"1000": {...}, "10000": {...}, "50000": {...}},
+      "select_paper": {...},               # B=64, L=100, n=5000
+      "pack_first_fit": {...},             # B=64, L=100, ~400 requests
       "queue_churn": {...}, "cost_model": {...},
       "serving": {"simulator": {...}, "cluster": {...}, "continuous": {...}}
     }
@@ -26,7 +28,12 @@ from __future__ import annotations
 import json
 import time
 
-from repro.bench.micro import bench_cost_model, bench_queue_churn, bench_select
+from repro.bench.micro import (
+    bench_cost_model,
+    bench_pack_first_fit,
+    bench_queue_churn,
+    bench_select,
+)
 from repro.bench.serving import bench_serving
 
 __all__ = [
@@ -67,6 +74,12 @@ def run_bench(*, quick: bool = False, seed: int = 0) -> dict:
         "select": {
             str(n): bench_select(n, seed, repeats=repeats) for n in sizes
         },
+        # The paper's batch geometry, where DAS's EDF walk and
+        # first-fit packing are the serving loops' hot spots.
+        "select_paper": bench_select(
+            5000, seed, repeats=repeats, num_rows=64, row_length=100
+        ),
+        "pack_first_fit": bench_pack_first_fit(seed=seed, repeats=repeats),
         "queue_churn": bench_queue_churn(
             5000 if quick else 20000, seed, repeats=repeats
         ),
@@ -128,6 +141,20 @@ def format_bench_table(report: dict) -> str:
         lines.append(
             f"  n={int(n):>6d}  fast={e['fast_s'] * 1e3:8.2f} ms  "
             f"ref={e['reference_s'] * 1e3:8.2f} ms  {e['speedup']:5.1f}x"
+        )
+    sp = report.get("select_paper")
+    if sp is not None:
+        lines.append(
+            f"  n={sp['n']:>6d}  fast={sp['fast_s'] * 1e3:8.2f} ms  "
+            f"ref={sp['reference_s'] * 1e3:8.2f} ms  {sp['speedup']:5.1f}x"
+            "  (B=64, L=100)"
+        )
+    pk = report.get("pack_first_fit")
+    if pk is not None:
+        lines.append(
+            f"first-fit packing ({pk['calls']} x {pk['n']} requests, B=64, L=100): "
+            f"fast={pk['fast_s'] * 1e3:.1f} ms  "
+            f"ref={pk['reference_s'] * 1e3:.1f} ms  {pk['speedup']:.1f}x"
         )
     qc = report["queue_churn"]
     lines.append(

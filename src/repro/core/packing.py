@@ -22,9 +22,9 @@ request across rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
-from repro.core.layout import BatchLayout
+from repro.core.layout import BatchLayout, Segment
 from repro.types import Request
 
 __all__ = [
@@ -56,6 +56,13 @@ def _new_layout(num_rows: int, row_length: int) -> BatchLayout:
     return BatchLayout(num_rows=num_rows, row_length=row_length, scheme="concat")
 
 
+# Every packer keeps each row's spare capacity in a local ``free`` list
+# and appends segments directly: probing ``RowLayout.can_fit`` re-sums the
+# row's segments, which made packing quadratic in the row's population.
+# A segment starts where the row's used tokens end (``L - free[k]``),
+# exactly where ``RowLayout.add`` would put it.
+
+
 def pack_in_order(
     requests: Sequence[Request], num_rows: int, row_length: int
 ) -> PackingResult:
@@ -67,19 +74,25 @@ def pack_in_order(
     ``row_length`` are rejected outright.
     """
     layout = _new_layout(num_rows, row_length)
+    rows = layout.rows
+    free = [row_length] * num_rows
     packed: list[Request] = []
     rejected: list[Request] = []
     row_idx = 0
     for req in requests:
-        if req.length > row_length:
+        length = req.length
+        if length > row_length:
             rejected.append(req)
             continue
-        while row_idx < num_rows and not layout.rows[row_idx].can_fit(req.length):
+        while row_idx < num_rows and free[row_idx] < length:
             row_idx += 1
         if row_idx >= num_rows:
             rejected.append(req)
             continue
-        layout.rows[row_idx].add(req)
+        rows[row_idx].segments.append(
+            Segment(request=req, start=row_length - free[row_idx])
+        )
+        free[row_idx] -= length
         packed.append(req)
     return PackingResult(layout=layout, packed=packed, rejected=rejected)
 
@@ -89,20 +102,23 @@ def pack_first_fit(
 ) -> PackingResult:
     """First-fit: each request goes to the lowest-index row with space."""
     layout = _new_layout(num_rows, row_length)
+    rows = layout.rows
+    free = [row_length] * num_rows
     packed: list[Request] = []
     rejected: list[Request] = []
     for req in requests:
-        if req.length > row_length:
-            rejected.append(req)
-            continue
-        target = next(
-            (row for row in layout.rows if row.can_fit(req.length)), None
-        )
-        if target is None:
-            rejected.append(req)
+        length = req.length
+        for k, spare in enumerate(free):
+            if spare >= length:
+                rows[k].segments.append(
+                    Segment(request=req, start=row_length - spare)
+                )
+                free[k] = spare - length
+                packed.append(req)
+                break
         else:
-            target.add(req)
-            packed.append(req)
+            # Longer than L, or no row has room.
+            rejected.append(req)
     return PackingResult(layout=layout, packed=packed, rejected=rejected)
 
 
@@ -116,17 +132,23 @@ def pack_best_fit_decreasing(
     simpler in-order policy of Algorithm 1 leaves on the table.
     """
     layout = _new_layout(num_rows, row_length)
+    rows = layout.rows
+    free = [row_length] * num_rows
     packed: list[Request] = []
     rejected: list[Request] = []
     for req in sorted(requests, key=lambda r: r.length, reverse=True):
-        if req.length > row_length:
+        length = req.length
+        # Tightest row with room; the lowest index wins ties.
+        best = -1
+        for k, spare in enumerate(free):
+            if length <= spare and (best < 0 or spare < free[best]):
+                best = k
+        if best < 0:
             rejected.append(req)
             continue
-        candidates = [row for row in layout.rows if row.can_fit(req.length)]
-        if not candidates:
-            rejected.append(req)
-            continue
-        target = min(candidates, key=lambda row: row.free)
-        target.add(req)
+        rows[best].segments.append(
+            Segment(request=req, start=row_length - free[best])
+        )
+        free[best] -= length
         packed.append(req)
     return PackingResult(layout=layout, packed=packed, rejected=rejected)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from repro.core.layout import BatchLayout, RowLayout, SlotLayout
+from repro.core.layout import BatchLayout, RowLayout, Segment, SlotLayout
 from repro.types import Request
 
 __all__ = [
@@ -102,24 +102,28 @@ def pack_into_slots(
     slotting the paper's slot-size policy is designed to bound.
     """
     layout = BatchLayout(num_rows=num_rows, row_length=row_length, scheme="slotted")
+    # Every slot in scan order (rows in order, slots within a row in
+    # order) with its spare capacity kept as a plain integer, so a probe
+    # is one comparison instead of a re-sum of the slot's segments.
+    slots: list[tuple[RowLayout, SlotLayout]] = []
     for row in layout.rows:
         row.slots = divide_row_into_slots(row, slot_size)
+        slots.extend((row, slot) for slot in row.slots)
+    free = [slot.size for _, slot in slots]
     packed: list[Request] = []
     rejected: list[Request] = []
     for req in requests:
-        placed = False
-        for row in layout.rows:
-            assert row.slots is not None
-            for slot in row.slots:
-                if slot.can_fit(req.length):
-                    seg = slot.add(req)
-                    row.segments.append(seg)
-                    packed.append(req)
-                    placed = True
-                    break
-            if placed:
+        length = req.length
+        for j, spare in enumerate(free):
+            if spare >= length:
+                row, slot = slots[j]
+                seg = Segment(request=req, start=slot.end - spare)
+                slot.segments.append(seg)
+                row.segments.append(seg)
+                free[j] = spare - length
+                packed.append(req)
                 break
-        if not placed:
+        else:
             rejected.append(req)
     return SlottedPackingResult(
         layout=layout, slot_size=slot_size, packed=packed, rejected=rejected

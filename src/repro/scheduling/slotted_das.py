@@ -56,9 +56,16 @@ class SlottedDASScheduler(Scheduler):
         # Lines 5–8: re-pack each row's tasks into slots greedily.
         rows: list[list[Request]] = []
         discarded: list[Request] = []
+        slot_sizes = [
+            slot.size
+            for slot in divide_row_into_slots(
+                RowLayout(capacity=self.batch.row_length), z
+            )
+        ]
         for row_requests in base.rows:
-            row = RowLayout(capacity=self.batch.row_length)
-            row.slots = divide_row_into_slots(row, z)
+            # Spare capacity per slot as plain integers; only the
+            # placement decision matters here, the layout is the engine's.
+            free = list(slot_sizes)
             packed: list[Request] = []
             # Longest-first keeps Algorithm 2's guarantee: a request no
             # longer than the slot size is never lost to fragmentation
@@ -67,14 +74,14 @@ class SlottedDASScheduler(Scheduler):
                 row_requests, key=lambda r: (-r.length, r.request_id)
             )
             for req in row_requests:
-                target = next(
-                    (s for s in row.slots if s.can_fit(req.length)), None
-                )
-                if target is None:
-                    discarded.append(req)
+                length = req.length
+                for j, spare in enumerate(free):
+                    if spare >= length:
+                        free[j] = spare - length
+                        packed.append(req)
+                        break
                 else:
-                    target.add(req)
-                    packed.append(req)
+                    discarded.append(req)
             rows.append(packed)
 
         decision = SchedulingDecision(

@@ -6,6 +6,7 @@ import json
 from repro.bench import (
     BENCH_VERSION,
     bench_cost_model,
+    bench_pack_first_fit,
     bench_queue_churn,
     bench_requests,
     bench_select,
@@ -39,6 +40,16 @@ class TestMicrobenches:
     def test_select_reports(self):
         entry = bench_select(200, seed=0, repeats=1)
         assert entry["n"] == 200
+        assert _leaf_keys(entry)
+        assert entry["fast_s"] > 0 and entry["reference_s"] > 0
+
+    def test_select_paper_geometry_reports(self):
+        entry = bench_select(300, seed=0, repeats=1, num_rows=64, row_length=100)
+        assert entry["n"] == 300 and _leaf_keys(entry)
+
+    def test_pack_first_fit_reports(self):
+        entry = bench_pack_first_fit(120, seed=0, repeats=1, calls=2)
+        assert entry["n"] == 120 and entry["calls"] == 2
         assert _leaf_keys(entry)
         assert entry["fast_s"] > 0 and entry["reference_s"] > 0
 
